@@ -9,10 +9,8 @@
 //!   (`AnalyzerConfig::cdag_first = false`), plus a verdict-by-verdict
 //!   equality check between the two (must be zero mismatches — the orders
 //!   may only differ in cost, never in answers);
-//! * **incremental k-ladder** — the CDAG prepass walking each expression's
-//!   distinct `k` bounds through a `QueryKLadder`/`UpdateKLadder` vs
-//!   recomputing per `(expr, k)`, with the deterministic share of bounds
-//!   served from the ladder cache;
+//! * **CDAG prepass** — one fresh inference per distinct `(expr, k)` of the
+//!   matrix, the work the session's prepass runs, timed on its own;
 //! * **CDAG-backed projection** — a descendant-axis view over the XMark
 //!   `parlist`/`listitem` recursive clique whose explicit chain spec
 //!   overflows any budget: the compiled `PathAutomaton` must still prune a
@@ -23,20 +21,14 @@
 //! `ci/BENCH_cdag.json`) feeds the `perf-cdag` CI job. Thresholds are
 //! env-tunable: `QUI_CDAG_MAX_AUTO_RATIO` (default 1.10 — CDAG-first may
 //! not be more than 10% slower than explicit-first; in practice it wins),
-//! `QUI_CDAG_MIN_LADDER_SPEEDUP` (default 0.85 — a parity guard: the
-//! saturating recursive expressions rebuild at every bound and dominate
-//! wall time, so the honest headline metric for the ladder is the
-//! *deterministic* reuse share, not noisy wall clock),
-//! `QUI_CDAG_MIN_LADDER_REUSE` (default 0.30; ~51% of the XMark matrix's
-//! (expr, k) bounds are served from the ladder cache),
 //! `QUI_CDAG_MIN_AUTOMATON_SAVING` (percent, default 5; measured ~87%),
 //! `QUI_CDAG_TOLERANCE` (default 0.25, normalized-cost regression vs the
 //! committed reference). Regenerate the committed file with
 //! `--out ci/BENCH_cdag.json` when the engine legitimately changes cost.
 
 use crate::baseline::calibrate;
-use qui_core::engine::cdag::{QueryKLadder, UpdateKLadder};
-use qui_core::parallel::{group_prepass_tasks, matrix_prepass_tasks};
+use qui_core::engine::cdag::CdagEngine;
+use qui_core::parallel::matrix_prepass_tasks;
 use qui_core::{analyze_matrix, AnalyzerConfig, ChainProjector, EngineKind, Jobs, MatrixVerdicts};
 use qui_workloads::{all_updates, all_views, xmark_document, xmark_dtd, XmarkScale};
 use qui_xmlstore::{parse_xml_stream, Projection, StreamConfig};
@@ -73,18 +65,10 @@ pub struct CdagReport {
     pub verdict_mismatches: usize,
     /// Independent cells under the CDAG-first order (determinism check).
     pub independent_cells: usize,
-    /// CDAG prepass over all (expr, k) tasks via per-expression k-ladders.
-    pub ladder_ms: f64,
-    /// The same prepass recomputing every (expr, k) from scratch.
+    /// CDAG prepass: one fresh inference per (expr, k) task.
     pub per_k_ms: f64,
-    /// `per_k_ms / ladder_ms`.
-    pub ladder_speedup: f64,
-    /// Inferences the ladder actually ran (initial builds + rebuilds).
-    pub ladder_inferences: usize,
-    /// Inferences the per-k strategy runs (= number of (expr, k) tasks).
+    /// Inferences the prepass runs (= number of (expr, k) tasks).
     pub per_k_inferences: usize,
-    /// `1 - ladder_inferences / per_k_inferences` (deterministic).
-    pub ladder_reuse_share: f64,
     /// The view the projection measurement used.
     pub automaton_view: String,
     /// Whether its explicit chain spec overflowed the default budget (it
@@ -127,16 +111,8 @@ impl CdagReport {
         let _ = writeln!(s, "  \"auto_ratio\": {:.4},", self.auto_ratio);
         let _ = writeln!(s, "  \"verdict_mismatches\": {},", self.verdict_mismatches);
         let _ = writeln!(s, "  \"independent_cells\": {},", self.independent_cells);
-        let _ = writeln!(s, "  \"ladder_ms\": {:.3},", self.ladder_ms);
         let _ = writeln!(s, "  \"per_k_ms\": {:.3},", self.per_k_ms);
-        let _ = writeln!(s, "  \"ladder_speedup\": {:.3},", self.ladder_speedup);
-        let _ = writeln!(s, "  \"ladder_inferences\": {},", self.ladder_inferences);
         let _ = writeln!(s, "  \"per_k_inferences\": {},", self.per_k_inferences);
-        let _ = writeln!(
-            s,
-            "  \"ladder_reuse_share\": {:.4},",
-            self.ladder_reuse_share
-        );
         let _ = writeln!(s, "  \"automaton_view\": \"{}\",", self.automaton_view);
         let _ = writeln!(
             s,
@@ -183,13 +159,8 @@ impl CdagReport {
         );
         let _ = writeln!(
             s,
-            "k-ladder   : {:.2} ms vs per-k {:.2} ms ({:.2}x, {}/{} inferences, reuse {:.0}%)",
-            self.ladder_ms,
-            self.per_k_ms,
-            self.ladder_speedup,
-            self.ladder_inferences,
-            self.per_k_inferences,
-            self.ladder_reuse_share * 100.0
+            "prepass    : {:.2} ms for {} (expr, k) inferences",
+            self.per_k_ms, self.per_k_inferences
         );
         let _ = writeln!(
             s,
@@ -222,31 +193,9 @@ fn auto_matrix(views: &[Query], updates: &[Update], cdag_first: bool) -> (f64, M
     (ms(start), verdicts)
 }
 
-/// Runs the CDAG prepass through k-ladders — the production task set
-/// ([`matrix_prepass_tasks`]) walked by the production `walk_bounds`, result
-/// materialization included; returns (wall ms, inferences actually run).
-fn ladder_prepass(views: &[Query], updates: &[Update]) -> (f64, usize) {
-    let dtd = xmark_dtd();
-    let (qt, ut) = matrix_prepass_tasks(views, updates, None);
-    let start = Instant::now();
-    let mut inferences = 0usize;
-    for (vi, ks) in group_prepass_tasks(&qt) {
-        let (out, n) = QueryKLadder::walk_bounds(&dtd, &views[vi], &ks, true);
-        std::hint::black_box(out);
-        inferences += n;
-    }
-    for (ui, ks) in group_prepass_tasks(&ut) {
-        let (out, n) = UpdateKLadder::walk_bounds(&dtd, &updates[ui], &ks, true);
-        std::hint::black_box(out);
-        inferences += n;
-    }
-    (ms(start), inferences)
-}
-
 /// Runs the CDAG prepass with one fresh inference per (expression, k);
 /// returns (wall ms, inferences run).
 fn per_k_prepass(views: &[Query], updates: &[Update]) -> (f64, usize) {
-    use qui_core::engine::cdag::CdagEngine;
     let dtd = xmark_dtd();
     let (qt, ut) = matrix_prepass_tasks(views, updates, None);
     let start = Instant::now();
@@ -305,11 +254,9 @@ pub fn run_cdag(reps: usize) -> CdagReport {
 
     let mut cdag_first_ms = f64::MAX;
     let mut explicit_first_ms = f64::MAX;
-    let mut ladder_ms = f64::MAX;
     let mut per_k_ms = f64::MAX;
     let mut mismatches = 0;
     let mut independent_cells = 0;
-    let mut ladder_inferences = 0;
     let mut per_k_inferences = 0;
     for _ in 0..reps.max(1) {
         let (t_new, new_order) = auto_matrix(&views, &updates, true);
@@ -324,11 +271,8 @@ pub fn run_cdag(reps: usize) -> CdagReport {
                     != old_order.verdict(ui, vi).is_independent()
             })
             .count();
-        let (t_ladder, n_ladder) = ladder_prepass(&views, &updates);
         let (t_per_k, n_per_k) = per_k_prepass(&views, &updates);
-        ladder_ms = ladder_ms.min(t_ladder);
         per_k_ms = per_k_ms.min(t_per_k);
-        ladder_inferences = n_ladder;
         per_k_inferences = n_per_k;
     }
     let auto = measure_automaton_projection();
@@ -343,12 +287,8 @@ pub fn run_cdag(reps: usize) -> CdagReport {
         auto_ratio: cdag_first_ms / explicit_first_ms.max(f64::EPSILON),
         verdict_mismatches: mismatches,
         independent_cells,
-        ladder_ms,
         per_k_ms,
-        ladder_speedup: per_k_ms / ladder_ms.max(f64::EPSILON),
-        ladder_inferences,
         per_k_inferences,
-        ladder_reuse_share: 1.0 - ladder_inferences as f64 / per_k_inferences.max(1) as f64,
         automaton_view: AUTOMATON_VIEW.to_string(),
         explicit_spec_overflows: auto.explicit_overflows,
         automaton_states: auto.states,
@@ -368,10 +308,6 @@ pub fn run_cdag(reps: usize) -> CdagReport {
 pub struct CdagGateConfig {
     /// Largest allowed `auto_ratio` (CDAG-first over explicit-first).
     pub max_auto_ratio: f64,
-    /// Required `ladder_speedup`.
-    pub min_ladder_speedup: f64,
-    /// Required `ladder_reuse_share` (deterministic).
-    pub min_ladder_reuse: f64,
     /// Required `automaton_saving_pct` (deterministic given the seed).
     pub min_automaton_saving: f64,
     /// Allowed relative regression of `norm_cost` against the committed
@@ -383,8 +319,6 @@ impl Default for CdagGateConfig {
     fn default() -> Self {
         CdagGateConfig {
             max_auto_ratio: 1.10,
-            min_ladder_speedup: 0.85,
-            min_ladder_reuse: 0.30,
             min_automaton_saving: 5.0,
             tolerance: 0.25,
         }
@@ -396,8 +330,6 @@ impl Default for CdagGateConfig {
 /// YAML against the real gate wiring.
 pub const GATE_ENV_VARS: &[&str] = &[
     "QUI_CDAG_MAX_AUTO_RATIO",
-    "QUI_CDAG_MIN_LADDER_SPEEDUP",
-    "QUI_CDAG_MIN_LADDER_REUSE",
     "QUI_CDAG_MIN_AUTOMATON_SAVING",
     "QUI_CDAG_TOLERANCE",
 ];
@@ -408,12 +340,6 @@ impl CdagGateConfig {
         let mut cfg = CdagGateConfig::default();
         if let Some(v) = env_f64("QUI_CDAG_MAX_AUTO_RATIO") {
             cfg.max_auto_ratio = v;
-        }
-        if let Some(v) = env_f64("QUI_CDAG_MIN_LADDER_SPEEDUP") {
-            cfg.min_ladder_speedup = v;
-        }
-        if let Some(v) = env_f64("QUI_CDAG_MIN_LADDER_REUSE") {
-            cfg.min_ladder_reuse = v;
         }
         if let Some(v) = env_f64("QUI_CDAG_MIN_AUTOMATON_SAVING") {
             cfg.min_automaton_saving = v;
@@ -449,19 +375,6 @@ pub fn check_cdag_gates(
         failures.push(format!(
             "CDAG-first auto is {:.3}x the explicit-first wall time, allowed <= {:.2}x",
             report.auto_ratio, cfg.max_auto_ratio
-        ));
-    }
-    if report.ladder_speedup < cfg.min_ladder_speedup {
-        failures.push(format!(
-            "k-ladder prepass speedup is {:.2}x over per-k recomputation, required >= {:.2}x",
-            report.ladder_speedup, cfg.min_ladder_speedup
-        ));
-    }
-    if report.ladder_reuse_share < cfg.min_ladder_reuse {
-        failures.push(format!(
-            "k-ladder served only {:.0}% of (expr, k) bounds from cache, required >= {:.0}%",
-            report.ladder_reuse_share * 100.0,
-            cfg.min_ladder_reuse * 100.0
         ));
     }
     if !report.explicit_spec_overflows {
@@ -515,12 +428,8 @@ mod tests {
             auto_ratio: 0.8,
             verdict_mismatches: 0,
             independent_cells: 3,
-            ladder_ms: 10.0,
             per_k_ms: 20.0,
-            ladder_speedup: 2.0,
-            ladder_inferences: 4,
             per_k_inferences: 8,
-            ladder_reuse_share: 0.5,
             automaton_view: AUTOMATON_VIEW.to_string(),
             explicit_spec_overflows: true,
             automaton_states: 40,
@@ -537,7 +446,7 @@ mod tests {
         assert_eq!(json_number_field(&json, "norm_cost"), Some(2.0));
         assert_eq!(json_number_field(&json, "cells"), Some(4.0));
         assert_eq!(json_number_field(&json, "auto_ratio"), Some(0.8));
-        assert_eq!(json_number_field(&json, "ladder_speedup"), Some(2.0));
+        assert_eq!(json_number_field(&json, "per_k_inferences"), Some(8.0));
         assert_eq!(json_number_field(&json, "automaton_saving_pct"), Some(50.0));
         assert_eq!(json_number_field(&json, "verdict_mismatches"), Some(0.0));
     }
@@ -559,11 +468,6 @@ mod tests {
         let mut slow = report.clone();
         slow.auto_ratio = 1.5;
         assert!(!check_cdag_gates(&slow, None, &cfg).is_empty());
-        // Losing the ladder speedup or its reuse share fails.
-        let mut lost = report.clone();
-        lost.ladder_speedup = 0.5;
-        lost.ladder_reuse_share = 0.0;
-        assert_eq!(check_cdag_gates(&lost, None, &cfg).len(), 2);
         // A vacuous or keep-everything projection fails.
         let mut vac = report.clone();
         vac.explicit_spec_overflows = false;
@@ -574,8 +478,8 @@ mod tests {
     #[test]
     fn tiny_cdag_run_is_consistent() {
         // A reduced matrix keeps the test fast while exercising the whole
-        // measurement pipeline (both auto orders, both prepass strategies,
-        // the automaton projection).
+        // measurement pipeline (both auto orders, the prepass, the automaton
+        // projection).
         let views: Vec<Query> = all_views().into_iter().take(4).map(|v| v.query).collect();
         let updates: Vec<Update> = all_updates()
             .into_iter()
@@ -595,10 +499,10 @@ mod tests {
                 );
             }
         }
-        let (t_ladder, n_ladder) = ladder_prepass(&views, &updates);
         let (t_per_k, n_per_k) = per_k_prepass(&views, &updates);
-        assert!(t_ladder > 0.0 && t_per_k > 0.0);
-        assert!(n_ladder <= n_per_k, "the ladder never runs MORE inferences");
+        let (qt, ut) = matrix_prepass_tasks(&views, &updates, None);
+        assert!(t_per_k > 0.0);
+        assert_eq!(n_per_k, qt.len() + ut.len(), "one inference per task");
         let auto = measure_automaton_projection();
         assert!(auto.explicit_overflows, "{AUTOMATON_VIEW} must overflow");
         assert!(auto.states > 0);

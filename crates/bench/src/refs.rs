@@ -17,7 +17,7 @@
 //!
 //! The module also renders the nightly `speedup-trend` artifact: a markdown
 //! table diffing freshly measured headline metrics (`speedup_parallel`,
-//! `ladder_speedup`, …) against the committed references, so speedup drift is
+//! `auto_ratio`, …) against the committed references, so speedup drift is
 //! visible across nightly runs without failing the build.
 
 use std::collections::BTreeSet;
@@ -59,12 +59,10 @@ pub const REF_SPECS: &[RefSpec] = &[
             "calibration_ms",
             "auto_ratio",
             "verdict_mismatches",
-            "ladder_speedup",
-            "ladder_reuse_share",
             "automaton_saving_pct",
             "norm_cost",
         ],
-        trend: &["ladder_speedup", "auto_ratio", "ladder_reuse_share"],
+        trend: &["auto_ratio"],
     },
     RefSpec {
         file: "BENCH_fig3c.json",

@@ -34,6 +34,7 @@ use qui_core::{
     AnalysisSession, AnalyzerConfig, ServeConfig, Server, SessionBuilder, SessionRegistry, Verdict,
 };
 use qui_schema::Dtd;
+use qui_traffic::percentile;
 use qui_workloads::{all_updates, all_views, xmark_dtd};
 use qui_xquery::{Query, Update};
 use std::fmt::Write as _;
@@ -211,16 +212,6 @@ fn verdicts_eq(a: &Verdict, b: &Verdict) -> bool {
         && a.witness == b.witness
         && a.query_chain_count == b.query_chain_count
         && a.update_chain_count == b.update_chain_count
-}
-
-/// The p-th percentile (0..=1) of the latency samples, in microseconds.
-fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let idx = ((samples.len() as f64 - 1.0) * p).round() as usize;
-    samples[idx.min(samples.len() - 1)]
 }
 
 /// One measured run: `threads` client threads × `rounds` passes over the

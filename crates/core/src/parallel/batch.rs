@@ -14,10 +14,11 @@
 //! Since the session API landed, the implementation of all of this lives in
 //! [`crate::session`]: [`analyze_matrix`] constructs a one-shot
 //! [`AnalysisSession`](crate::session::AnalysisSession), registers the
-//! workload in bulk (one batched prepass: per-expression k-ladders for the
-//! CDAG side, per-`(expression, k)` explicit inference for the cells the
-//! CDAG could not prove, all sharded over the [`pool`](super::pool)
-//! work-stealing thread pool), and returns the materialized matrix. With
+//! workload in bulk (one batched prepass: one CDAG inference per distinct
+//! `(expression, k)`, then explicit inference per `(expression, k)` for the
+//! cells the CDAG could not prove, both sharded over the
+//! [`pool`](super::pool) work-stealing thread pool), and returns the
+//! materialized matrix. With
 //! `jobs = 1` nothing is spawned and the evaluation order matches a
 //! sequential double loop, so verdicts — including witnesses — are
 //! bit-identical whatever the worker count: per-cell work never mutates
@@ -192,20 +193,6 @@ pub fn matrix_prepass_tasks(
         }
     }
     (qt, ut)
-}
-
-/// Groups sorted `(expression, k)` tasks into per-expression ascending bound
-/// lists — the shape the k-ladders' `walk_bounds` consumes. Public for the
-/// same reason as [`matrix_prepass_tasks`].
-pub fn group_prepass_tasks(tasks: &PrepassTasks) -> Vec<(usize, Vec<usize>)> {
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for &(i, k) in tasks {
-        match groups.last_mut() {
-            Some((gi, ks)) if *gi == i => ks.push(k),
-            _ => groups.push((i, vec![k])),
-        }
-    }
-    groups
 }
 
 /// Asserts that the batch verdict for every cell equals the verdict of a

@@ -25,7 +25,6 @@ pub mod batch;
 pub mod pool;
 
 pub use batch::{
-    analyze_matrix, assert_matches_sequential, group_prepass_tasks, matrix_prepass_tasks,
-    BatchAnalyzer, MatrixVerdicts,
+    analyze_matrix, assert_matches_sequential, matrix_prepass_tasks, BatchAnalyzer, MatrixVerdicts,
 };
 pub use pool::{machine_parallelism, run_indexed, Jobs, JOBS_ENV};

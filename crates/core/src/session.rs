@@ -3,15 +3,14 @@
 //!
 //! Everything expensive in the paper's static analysis depends only on the
 //! *schema* and the *expressions* — chain universes, CDAG closures,
-//! k-ladders, compiled path automata — never on which pair a check happens
+//! compiled path automata — never on which pair a check happens
 //! to be part of. The historical API was stateless (`check`, `check_views`,
 //! `matrix_report`, …), so every call rebuilt that state from scratch. A
 //! session is constructed **once per schema** and owns all reusable
 //! inference state, so repeated checks and matrix queries are warm:
 //!
-//! * CDAG chain sets per `(expression, k)`, with the incremental k-ladder
-//!   policy (a bound whose inference never saturated serves every larger
-//!   bound from the same result);
+//! * CDAG chain sets per `(expression, k)`, one fresh inference at its own
+//!   bound for each missing pair;
 //! * explicit chain sets per `(expression, k)` (including remembered budget
 //!   overflows, so a hopeless expression is never re-materialized);
 //! * a checkout pool of [`CdagEngine`](crate::engine::cdag::CdagEngine)s
@@ -93,7 +92,7 @@
 use crate::analyzer::{conservative_explicit_verdict, AnalyzerConfig, EngineKind, Verdict};
 use crate::concurrent::{EnginePool, ShardedMap};
 use crate::conflict::find_conflict;
-use crate::engine::cdag::{ChainDag, DagQueryChains, QueryKLadder, UpdateKLadder};
+use crate::engine::cdag::{CdagEngine, ChainDag, DagQueryChains};
 use crate::engine::explicit::ExplicitEngine;
 use crate::explain::{explain_verdict, ExplainOptions, MatrixReport};
 use crate::kbound::{k_for_pair, k_of_query, k_of_update};
@@ -104,7 +103,7 @@ use crate::universe::Universe;
 use qui_schema::SchemaLike;
 use qui_xmlstore::Projection;
 use qui_xquery::{Query, Update};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -219,63 +218,24 @@ impl<'a, S: SchemaLike> SessionBuilder<'a, S> {
 // Caches
 // ---------------------------------------------------------------------------
 
-/// Per-expression CDAG results across multiplicity bounds, with the
-/// k-ladder serving policy: a result whose inference never saturated at
-/// bound `k0` is exact for *every* bound `≥ k0` (the DAG node encoding is
-/// k-independent), so it serves all of them from one `Arc`.
-struct CdagCache<T> {
-    /// `(k0, result)`: exact for every bound `≥ k0`.
-    complete: Option<(usize, Arc<T>)>,
-    /// Saturated (per-bound) results.
-    per_k: BTreeMap<usize, Arc<T>>,
-}
-
-impl<T> Default for CdagCache<T> {
-    fn default() -> Self {
-        CdagCache {
-            complete: None,
-            per_k: BTreeMap::new(),
-        }
-    }
-}
-
-impl<T> CdagCache<T> {
-    fn get(&self, k: usize) -> Option<Arc<T>> {
-        if let Some((k0, r)) = &self.complete {
-            if k >= *k0 {
-                return Some(Arc::clone(r));
-            }
-        }
-        self.per_k.get(&k).cloned()
-    }
-
-    /// Records a result served at bound `k`; `complete_from` is the build
-    /// bound when the inference never saturated there.
-    fn insert(&mut self, k: usize, complete_from: Option<usize>, result: Arc<T>) {
-        if let Some(k0) = complete_from {
-            match &self.complete {
-                Some((existing, _)) if *existing <= k0 => {}
-                _ => self.complete = Some((k0, Arc::clone(&result))),
-            }
-        }
-        self.per_k.insert(k, result);
-    }
-}
-
-/// A registered view: display name, expression, cache key and `k_q`.
-struct RegisteredView {
+/// A registered view or update: display name, expression, cache key and
+/// the expression's own multiplicity (`k_q` or `k_u`).
+struct Registered<E> {
     name: String,
-    query: Query,
+    expr: E,
     key: Arc<str>,
-    k_q: usize,
+    k: usize,
 }
 
-/// A registered update: display name, expression, cache key and `k_u`.
-struct RegisteredUpdate {
-    name: String,
-    update: Update,
-    key: Arc<str>,
-    k_u: usize,
+impl<E: std::fmt::Debug> Registered<E> {
+    fn new(name: String, expr: E, k: usize) -> Self {
+        Registered {
+            name,
+            key: expr_key(&expr),
+            expr,
+            k,
+        }
+    }
 }
 
 /// Cache-effectiveness counters of a session (all monotone). A snapshot of
@@ -283,7 +243,7 @@ struct RegisteredUpdate {
 /// individually accurate but not mutually atomic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Fresh CDAG inferences run (ladder builds and rebuilds).
+    /// Fresh CDAG inferences run, one per missing `(expression, k)`.
     pub cdag_inferences: usize,
     /// `(expression, k)` CDAG requests served from the session cache.
     pub cdag_cache_hits: usize,
@@ -354,15 +314,19 @@ impl SessionCounters {
     }
 }
 
+/// Chain sets keyed by `(expression key, k)`.
+type ChainCache<T> = ShardedMap<(Arc<str>, usize), T>;
+
 /// The interior-mutable state shared by every session read: the four chain
 /// caches, the engine checkout pool and the compiled projections. All
 /// methods take `&self`; thread-safety comes from the sharded maps and the
 /// pool, not from any outer lock.
 struct SessionCaches<'a, S: SchemaLike> {
-    cdag_queries: ShardedMap<Arc<str>, CdagCache<DagQueryChains>>,
-    cdag_updates: ShardedMap<Arc<str>, CdagCache<ChainDag>>,
-    explicit_queries: ShardedMap<(Arc<str>, usize), Option<Arc<QueryChains>>>,
-    explicit_updates: ShardedMap<(Arc<str>, usize), Option<Arc<UpdateChains>>>,
+    cdag_queries: ChainCache<Arc<DagQueryChains>>,
+    cdag_updates: ChainCache<Arc<ChainDag>>,
+    /// `None` records a budget overflow.
+    explicit_queries: ChainCache<Option<Arc<QueryChains>>>,
+    explicit_updates: ChainCache<Option<Arc<UpdateChains>>>,
     engines: EnginePool<'a, S>,
     projections: ShardedMap<String, Projection>,
     counters: SessionCounters,
@@ -382,11 +346,11 @@ impl<'a, S: SchemaLike> SessionCaches<'a, S> {
     }
 
     fn cdag_query(&self, key: &Arc<str>, k: usize) -> Option<Arc<DagQueryChains>> {
-        self.cdag_queries.read_with(key, |c| c.get(k)).flatten()
+        self.cdag_queries.get(&(Arc::clone(key), k))
     }
 
     fn cdag_update(&self, key: &Arc<str>, k: usize) -> Option<Arc<ChainDag>> {
-        self.cdag_updates.read_with(key, |c| c.get(k)).flatten()
+        self.cdag_updates.get(&(Arc::clone(key), k))
     }
 
     /// The cached explicit query chains: `None` = never inferred,
@@ -418,8 +382,8 @@ pub struct AnalysisSession<'a, S: SchemaLike> {
     config: AnalyzerConfig,
     jobs: Jobs,
     explain: ExplainOptions,
-    views: Vec<RegisteredView>,
-    updates: Vec<RegisteredUpdate>,
+    views: Vec<Registered<Query>>,
+    updates: Vec<Registered<Update>>,
     /// The materialized verdict matrix, indexed `[update][view]`.
     rows: Vec<Vec<Verdict>>,
     caches: SessionCaches<'a, S>,
@@ -464,12 +428,12 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
 
     /// The registered views, in column order.
     pub fn views(&self) -> impl Iterator<Item = (&str, &Query)> {
-        self.views.iter().map(|v| (v.name.as_str(), &v.query))
+        self.views.iter().map(|v| (v.name.as_str(), &v.expr))
     }
 
     /// The registered updates, in row order.
     pub fn updates(&self) -> impl Iterator<Item = (&str, &Update)> {
-        self.updates.iter().map(|u| (u.name.as_str(), &u.update))
+        self.updates.iter().map(|u| (u.name.as_str(), &u.expr))
     }
 
     /// The materialized verdict of one cell.
@@ -524,7 +488,7 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
                     .iter()
                     .enumerate()
                     .map(|(vi, v)| {
-                        let k = v.k_q + u.k_u;
+                        let k = v.k + u.k;
                         k_min = k_min.min(k);
                         k_max = k_max.max(k);
                         (v.name.clone(), self.rows[ui][vi].is_independent())
@@ -684,14 +648,11 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
             return;
         }
         // The inference runs outside any lock; a racing thread may compute
-        // the same ladder — both insert equal values, so last-wins is fine.
-        let ladder = QueryKLadder::new(self.schema, q, k, self.config.element_chains);
-        let complete = ladder.is_complete().then_some(k);
+        // the same chains — both insert equal values, so last-wins is fine.
+        let qc = infer_query_cdag(self.schema, &self.config, q, k);
         self.caches
             .cdag_queries
-            .write_with(Arc::clone(key), |cache| {
-                cache.insert(k, complete, Arc::new(ladder.result().clone()));
-            });
+            .insert((Arc::clone(key), k), Arc::new(qc));
         SessionCounters::bump(&self.caches.counters.cdag_inferences, 1);
     }
 
@@ -700,13 +661,10 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
             SessionCounters::bump(&self.caches.counters.cdag_cache_hits, 1);
             return;
         }
-        let ladder = UpdateKLadder::new(self.schema, u, k, self.config.element_chains);
-        let complete = ladder.is_complete().then_some(k);
+        let uc = infer_update_cdag(self.schema, &self.config, u, k);
         self.caches
             .cdag_updates
-            .write_with(Arc::clone(key), |cache| {
-                cache.insert(k, complete, Arc::new(ladder.result().clone()));
-            });
+            .insert((Arc::clone(key), k), Arc::new(uc));
         SessionCounters::bump(&self.caches.counters.cdag_inferences, 1);
     }
 
@@ -735,26 +693,14 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
     }
 
     fn register_view(&mut self, name: String, query: Query) -> usize {
-        let key = expr_key(&query);
-        let k_q = k_of_query(&query);
-        self.views.push(RegisteredView {
-            name,
-            query,
-            key,
-            k_q,
-        });
+        let k = k_of_query(&query);
+        self.views.push(Registered::new(name, query, k));
         self.views.len() - 1
     }
 
     fn register_update(&mut self, name: String, update: Update) -> usize {
-        let key = expr_key(&update);
-        let k_u = k_of_update(&update);
-        self.updates.push(RegisteredUpdate {
-            name,
-            update,
-            key,
-            k_u,
-        });
+        let k = k_of_update(&update);
+        self.updates.push(Registered::new(name, update, k));
         self.updates.len() - 1
     }
 
@@ -770,7 +716,7 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
             row.remove(index);
         }
         SessionCounters::bump(&self.caches.counters.edits, 1);
-        Some((v.name, v.query))
+        Some((v.name, v.expr))
     }
 
     /// Removes the first view with the given name (see
@@ -788,7 +734,7 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
         let u = self.updates.remove(index);
         self.rows.remove(index);
         SessionCounters::bump(&self.caches.counters.edits, 1);
-        Some((u.name, u.update))
+        Some((u.name, u.expr))
     }
 
     /// Removes the first update with the given name.
@@ -881,7 +827,7 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
     /// Evaluates the given cells `(view, update)` and returns their
     /// verdicts in input order. This is the single implementation of the
     /// analysis pipeline: a CDAG prepass over missing `(expression, k)`
-    /// chain sets (per-expression k-ladders, sharded over the pool), the
+    /// chain sets (one inference per pair, sharded over the pool), the
     /// CDAG cell pass, the explicit prepass for cells the CDAG could not
     /// prove (mirroring the configured engine order), and the final cell
     /// pass — all reading from and filling the session caches. Workers in
@@ -899,7 +845,7 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
             .map(|&(vi, ui)| {
                 self.config
                     .k_override
-                    .unwrap_or(self.views[vi].k_q + self.updates[ui].k_u)
+                    .unwrap_or(self.views[vi].k + self.updates[ui].k)
             })
             .collect();
 
@@ -980,7 +926,7 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
             let (vi, ui) = cells[i];
             cell_verdict(
                 config,
-                (ks[i], views[vi].k_q, updates[ui].k_u),
+                (ks[i], views[vi].k, updates[ui].k),
                 &views[vi].key,
                 &updates[ui].key,
                 caches,
@@ -992,114 +938,34 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
     }
 
     /// Fills the CDAG caches for the requested `(view index, k)` /
-    /// `(update index, k)` tasks: missing bounds are grouped per distinct
-    /// expression, each group walks its ascending bounds through a
-    /// k-ladder, and the groups run in parallel over the pool.
+    /// `(update index, k)` tasks: one fresh inference per missing
+    /// `(expression, k)`, sharded over the pool.
     fn ensure_cdag_bulk(
         &self,
         query_tasks: &BTreeSet<(usize, usize)>,
         update_tasks: &BTreeSet<(usize, usize)>,
     ) {
-        let mut q_groups: BTreeMap<Arc<str>, (Query, Vec<usize>)> = BTreeMap::new();
-        for &(vi, k) in query_tasks {
-            let v = &self.views[vi];
-            if self.caches.cdag_query(&v.key, k).is_some() {
-                SessionCounters::bump(&self.caches.counters.cdag_cache_hits, 1);
-                continue;
-            }
-            let entry = q_groups
-                .entry(Arc::clone(&v.key))
-                .or_insert_with(|| (v.query.clone(), Vec::new()));
-            if !entry.1.contains(&k) {
-                entry.1.push(k);
-            }
-        }
-        let mut u_groups: BTreeMap<Arc<str>, (Update, Vec<usize>)> = BTreeMap::new();
-        for &(ui, k) in update_tasks {
-            let u = &self.updates[ui];
-            if self.caches.cdag_update(&u.key, k).is_some() {
-                SessionCounters::bump(&self.caches.counters.cdag_cache_hits, 1);
-                continue;
-            }
-            let entry = u_groups
-                .entry(Arc::clone(&u.key))
-                .or_insert_with(|| (u.update.clone(), Vec::new()));
-            if !entry.1.contains(&k) {
-                entry.1.push(k);
-            }
-        }
-        if q_groups.is_empty() && u_groups.is_empty() {
+        let c = &self.caches;
+        let hits = &c.counters.cdag_cache_hits;
+        let qt = missing_tasks(query_tasks, &self.views, &c.cdag_queries, hits);
+        let ut = missing_tasks(update_tasks, &self.updates, &c.cdag_updates, hits);
+        if qt.is_empty() && ut.is_empty() {
             return;
         }
-        let qg: Vec<(Arc<str>, Query, Vec<usize>)> = q_groups
-            .into_iter()
-            .map(|(key, (q, mut ks))| {
-                ks.sort_unstable();
-                (key, q, ks)
-            })
-            .collect();
-        let ug: Vec<(Arc<str>, Update, Vec<usize>)> = u_groups
-            .into_iter()
-            .map(|(key, (u, mut ks))| {
-                ks.sort_unstable();
-                (key, u, ks)
-            })
-            .collect();
-        let schema = self.schema;
-        let element_chains = self.config.element_chains;
-        let n_q = qg.len();
-        enum Out {
-            Query(usize, Vec<LadderStep<DagQueryChains>>, usize),
-            Update(usize, Vec<LadderStep<ChainDag>>, usize),
+        let (schema, config) = (self.schema, &self.config);
+        let (qs, us) = run_sides(
+            self.jobs,
+            &qt,
+            &ut,
+            |q, k| infer_query_cdag(schema, config, q, k),
+            |u, k| infer_update_cdag(schema, config, u, k),
+        );
+        SessionCounters::bump(&c.counters.cdag_inferences, qs.len() + us.len());
+        for ((key, _), qc) in qt.into_iter().zip(qs) {
+            c.cdag_queries.insert(key, Arc::new(qc));
         }
-        let results = run_indexed(self.jobs, n_q + ug.len(), |i| {
-            if i < n_q {
-                let (_, q, ks) = &qg[i];
-                let (steps, inferences) =
-                    QueryKLadder::walk_bounds_complete(schema, q, ks, element_chains);
-                Out::Query(i, steps, inferences)
-            } else {
-                let (_, u, ks) = &ug[i - n_q];
-                let (steps, inferences) =
-                    UpdateKLadder::walk_bounds_complete(schema, u, ks, element_chains);
-                Out::Update(i - n_q, steps, inferences)
-            }
-        });
-        for r in results {
-            match r {
-                Out::Query(i, steps, inferences) => {
-                    let key = &qg[i].0;
-                    let served = steps.len();
-                    self.caches
-                        .cdag_queries
-                        .write_with(Arc::clone(key), |cache| {
-                            for (k, result, complete_from) in steps {
-                                cache.insert(k, complete_from, result);
-                            }
-                        });
-                    SessionCounters::bump(&self.caches.counters.cdag_inferences, inferences);
-                    SessionCounters::bump(
-                        &self.caches.counters.cdag_cache_hits,
-                        served - inferences.min(served),
-                    );
-                }
-                Out::Update(i, steps, inferences) => {
-                    let key = &ug[i].0;
-                    let served = steps.len();
-                    self.caches
-                        .cdag_updates
-                        .write_with(Arc::clone(key), |cache| {
-                            for (k, result, complete_from) in steps {
-                                cache.insert(k, complete_from, result);
-                            }
-                        });
-                    SessionCounters::bump(&self.caches.counters.cdag_inferences, inferences);
-                    SessionCounters::bump(
-                        &self.caches.counters.cdag_cache_hits,
-                        served - inferences.min(served),
-                    );
-                }
-            }
+        for ((key, _), uc) in ut.into_iter().zip(us) {
+            c.cdag_updates.insert(key, Arc::new(uc));
         }
     }
 
@@ -1110,73 +976,90 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
         query_tasks: &BTreeSet<(usize, usize)>,
         update_tasks: &BTreeSet<(usize, usize)>,
     ) {
-        let mut qt: Vec<(Arc<str>, Query, usize)> = Vec::new();
-        let mut seen_q: BTreeSet<(Arc<str>, usize)> = BTreeSet::new();
-        for &(vi, k) in query_tasks {
-            let v = &self.views[vi];
-            if self.caches.explicit_query(&v.key, k).is_some() {
-                SessionCounters::bump(&self.caches.counters.explicit_cache_hits, 1);
-                continue;
-            }
-            if seen_q.insert((Arc::clone(&v.key), k)) {
-                qt.push((Arc::clone(&v.key), v.query.clone(), k));
-            }
-        }
-        let mut ut: Vec<(Arc<str>, Update, usize)> = Vec::new();
-        let mut seen_u: BTreeSet<(Arc<str>, usize)> = BTreeSet::new();
-        for &(ui, k) in update_tasks {
-            let u = &self.updates[ui];
-            if self.caches.explicit_update(&u.key, k).is_some() {
-                SessionCounters::bump(&self.caches.counters.explicit_cache_hits, 1);
-                continue;
-            }
-            if seen_u.insert((Arc::clone(&u.key), k)) {
-                ut.push((Arc::clone(&u.key), u.update.clone(), k));
-            }
-        }
+        let c = &self.caches;
+        let hits = &c.counters.explicit_cache_hits;
+        let qt = missing_tasks(query_tasks, &self.views, &c.explicit_queries, hits);
+        let ut = missing_tasks(update_tasks, &self.updates, &c.explicit_updates, hits);
         if qt.is_empty() && ut.is_empty() {
             return;
         }
-        let schema = self.schema;
-        let config = &self.config;
-        enum Out {
-            Query(usize, Option<QueryChains>),
-            Update(usize, Option<UpdateChains>),
-        }
-        let n_q = qt.len();
         // Split the worker budget: tasks shard across workers first, and any
         // leftover parallelism goes *inside* each explicit inference (the
         // descendant enumeration dominates when one expensive task remains).
-        let n_tasks = n_q + ut.len();
-        let inner = Jobs::Fixed((self.jobs.resolve() / n_tasks.max(1)).max(1));
-        let results = run_indexed(self.jobs, n_tasks, |i| {
-            if i < n_q {
-                let (_, q, k) = &qt[i];
-                Out::Query(i, infer_query_explicit(schema, config, q, *k, inner))
-            } else {
-                let (_, u, k) = &ut[i - n_q];
-                Out::Update(i - n_q, infer_update_explicit(schema, config, u, *k, inner))
-            }
-        });
-        for r in results {
-            match r {
-                Out::Query(i, qc) => {
-                    let (key, _, k) = &qt[i];
-                    self.caches
-                        .explicit_queries
-                        .insert((Arc::clone(key), *k), qc.map(Arc::new));
-                    SessionCounters::bump(&self.caches.counters.explicit_inferences, 1);
-                }
-                Out::Update(i, uc) => {
-                    let (key, _, k) = &ut[i];
-                    self.caches
-                        .explicit_updates
-                        .insert((Arc::clone(key), *k), uc.map(Arc::new));
-                    SessionCounters::bump(&self.caches.counters.explicit_inferences, 1);
-                }
-            }
+        let inner = Jobs::Fixed((self.jobs.resolve() / (qt.len() + ut.len())).max(1));
+        let (schema, config) = (self.schema, &self.config);
+        let (qs, us) = run_sides(
+            self.jobs,
+            &qt,
+            &ut,
+            |q, k| infer_query_explicit(schema, config, q, k, inner),
+            |u, k| infer_update_explicit(schema, config, u, k, inner),
+        );
+        SessionCounters::bump(&c.counters.explicit_inferences, qs.len() + us.len());
+        for ((key, _), qc) in qt.into_iter().zip(qs) {
+            c.explicit_queries.insert(key, qc.map(Arc::new));
+        }
+        for ((key, _), uc) in ut.into_iter().zip(us) {
+            c.explicit_updates.insert(key, uc.map(Arc::new));
         }
     }
+}
+
+/// A missing inference: the cache key `(expression key, k)` and the
+/// expression to infer.
+type Task<E> = ((Arc<str>, usize), E);
+
+/// The prepass tasks among `tasks` (`(registered index, k)` pairs) that
+/// `cache` does not hold yet, one per distinct `(expression key, k)`. Each
+/// cached pair counts one hit.
+fn missing_tasks<'r, E, T>(
+    tasks: &BTreeSet<(usize, usize)>,
+    registered: &'r [Registered<E>],
+    cache: &ChainCache<T>,
+    hits: &AtomicUsize,
+) -> Vec<Task<&'r E>> {
+    let mut seen = BTreeSet::new();
+    let mut out = Vec::new();
+    for &(i, k) in tasks {
+        let r = &registered[i];
+        let key = (Arc::clone(&r.key), k);
+        if cache.contains_key(&key) {
+            SessionCounters::bump(hits, 1);
+        } else if seen.insert(key.clone()) {
+            out.push((key, &r.expr));
+        }
+    }
+    out
+}
+
+/// Runs `infer_q` over the query tasks and `infer_u` over the update tasks
+/// in one sharded pass, returning each side's results in task order.
+fn run_sides<Q: Sync, U: Sync, RQ: Send, RU: Send>(
+    jobs: Jobs,
+    qt: &[Task<Q>],
+    ut: &[Task<U>],
+    infer_q: impl Fn(&Q, usize) -> RQ + Sync,
+    infer_u: impl Fn(&U, usize) -> RU + Sync,
+) -> (Vec<RQ>, Vec<RU>) {
+    enum Out<A, B> {
+        Query(A),
+        Update(B),
+    }
+    let results = run_indexed(jobs, qt.len() + ut.len(), |i| match qt.get(i) {
+        Some(((_, k), q)) => Out::Query(infer_q(q, *k)),
+        None => {
+            let ((_, k), u) = &ut[i - qt.len()];
+            Out::Update(infer_u(u, *k))
+        }
+    });
+    let (mut qs, mut us) = (Vec::with_capacity(qt.len()), Vec::with_capacity(ut.len()));
+    for r in results {
+        match r {
+            Out::Query(q) => qs.push(q),
+            Out::Update(u) => us.push(u),
+        }
+    }
+    (qs, us)
 }
 
 // ---------------------------------------------------------------------------
@@ -1191,11 +1074,27 @@ fn expr_key<T: std::fmt::Debug>(expr: &T) -> Arc<str> {
     Arc::from(format!("{expr:?}").as_str())
 }
 
-/// One bound produced by a ladder walk, as returned by
-/// `QueryKLadder::walk_bounds_complete` / `UpdateKLadder::walk_bounds_complete`:
-/// the bound, its result, and the build bound the result is complete from
-/// (`None` when that build saturated).
-type LadderStep<T> = (usize, Arc<T>, Option<usize>);
+/// CDAG query inference for one `(expression, k)`.
+fn infer_query_cdag<S: SchemaLike>(
+    schema: &S,
+    config: &AnalyzerConfig,
+    q: &Query,
+    k: usize,
+) -> DagQueryChains {
+    let eng = CdagEngine::new(schema, k).with_element_chains(config.element_chains);
+    eng.infer_query(&eng.root_gamma(q.free_vars()), q)
+}
+
+/// CDAG update inference for one `(expression, k)`.
+fn infer_update_cdag<S: SchemaLike>(
+    schema: &S,
+    config: &AnalyzerConfig,
+    u: &Update,
+    k: usize,
+) -> ChainDag {
+    let eng = CdagEngine::new(schema, k).with_element_chains(config.element_chains);
+    eng.infer_update(&eng.root_gamma(u.free_vars()), u)
+}
 
 /// Explicit query inference for one `(expression, k)`; `None` on budget
 /// overflow. Identical to the query side of

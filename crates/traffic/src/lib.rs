@@ -267,12 +267,14 @@ pub struct TrafficSim {
     config: TrafficConfig,
 }
 
-/// The p-th percentile (0..=1) of the samples, in place.
+/// The p-th percentile (0..=1) of the samples, sorting them in place. The
+/// sort is [`f64::total_cmp`], so a NaN sample sorts above every number
+/// instead of panicking.
 pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples.sort_by(f64::total_cmp);
     let idx = ((samples.len() as f64 - 1.0) * p).round() as usize;
     samples[idx.min(samples.len() - 1)]
 }
@@ -634,6 +636,9 @@ mod tests {
         let mut s = vec![1.0, 2.0, 3.0, 4.0, 100.0];
         assert_eq!(percentile(&mut s, 0.5), 3.0);
         assert_eq!(percentile(&mut s, 1.0), 100.0);
+        let mut with_nan = vec![4.0, f64::NAN, 1.0, 3.0, 2.0];
+        assert_eq!(percentile(&mut with_nan, 0.5), 3.0);
+        assert!(percentile(&mut with_nan, 1.0).is_nan());
     }
 
     #[test]

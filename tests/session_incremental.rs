@@ -15,7 +15,8 @@
 //! `QUI_PROPTEST_CASES`.
 
 use proptest::prelude::*;
-use xml_qui::core::parallel::{analyze_matrix, Jobs};
+use std::collections::BTreeSet;
+use xml_qui::core::parallel::{analyze_matrix, matrix_prepass_tasks, Jobs};
 use xml_qui::core::{
     AnalysisSession, AnalyzerConfig, EngineKind, IndependenceAnalyzer, SessionBuilder, Verdict,
 };
@@ -265,4 +266,42 @@ fn removals_do_not_disturb_surviving_cells() {
     let mut expected = keep_flags;
     expected.remove(1);
     assert_eq!(session.independent_flags(0), expected);
+}
+
+/// A cold bulk registration of the full XMark 36 × 31 matrix runs exactly
+/// one CDAG inference per distinct `(expression, k)` prepass task, and
+/// registering the same workload again runs none.
+#[test]
+fn cold_xmark_workload_runs_one_cdag_inference_per_expression_and_bound() {
+    let dtd = xml_qui::workloads::xmark_dtd();
+    let views: Vec<(String, Query)> = all_views()
+        .into_iter()
+        .map(|v| (v.name.to_string(), v.query))
+        .collect();
+    let updates: Vec<(String, Update)> = all_updates()
+        .into_iter()
+        .map(|u| (u.name.to_string(), u.update))
+        .collect();
+    assert_eq!((views.len(), updates.len()), (36, 31));
+
+    let queries: Vec<Query> = views.iter().map(|(_, q)| q.clone()).collect();
+    let upds: Vec<Update> = updates.iter().map(|(_, u)| u.clone()).collect();
+    let (qt, ut) = matrix_prepass_tasks(&queries, &upds, None);
+    let distinct: BTreeSet<(String, usize)> = qt
+        .iter()
+        .map(|&(vi, k)| (format!("{:?}", queries[vi]), k))
+        .chain(ut.iter().map(|&(ui, k)| (format!("{:?}", upds[ui]), k)))
+        .collect();
+    assert_eq!(distinct.len(), 268);
+
+    let mut session = SessionBuilder::new(&dtd).jobs(Jobs::Fixed(2)).build();
+    session.add_workload(views.clone(), updates.clone());
+    assert_eq!(session.stats().cdag_inferences, distinct.len());
+
+    session.add_workload(views, updates);
+    assert_eq!(
+        session.stats().cdag_inferences,
+        distinct.len(),
+        "a warm re-registration must run no CDAG inference"
+    );
 }
