@@ -84,20 +84,6 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         self.shard(&key).write().unwrap().insert(key, value);
     }
 
-    /// Applies `f` to the value under `key` (read lock), if present.
-    pub fn read_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
-        self.shard(key).read().unwrap().get(key).map(f)
-    }
-
-    /// Applies `f` to the value under `key`, inserting a default first if
-    /// the key is missing (write lock).
-    pub fn write_with<R>(&self, key: K, f: impl FnOnce(&mut V) -> R) -> R
-    where
-        V: Default,
-    {
-        f(self.shard(&key).write().unwrap().entry(key).or_default())
-    }
-
     /// Total number of entries across all shards (not atomic with respect
     /// to concurrent writers; used for stats and tests only).
     pub fn len(&self) -> usize {
@@ -236,16 +222,6 @@ mod tests {
         assert_eq!(map.get(&205).as_deref(), Some(&5));
         assert!(map.contains_key(&0));
         assert!(!map.contains_key(&400));
-    }
-
-    #[test]
-    fn sharded_map_write_with_defaults_and_mutates() {
-        let map: ShardedMap<&'static str, Vec<usize>> = ShardedMap::new();
-        map.write_with("a", |v| v.push(1));
-        map.write_with("a", |v| v.push(2));
-        assert_eq!(map.read_with(&"a", |v| v.clone()), Some(vec![1, 2]));
-        assert_eq!(map.read_with(&"b", |v| v.clone()), None);
-        assert!(!map.is_empty());
     }
 
     #[test]

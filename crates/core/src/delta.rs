@@ -5,7 +5,8 @@
 //! an update. This module answers the follow-up question for the pairs that
 //! cannot: is the conflict confined to the *interior* of the view's result
 //! subtrees — in which case the view can be repaired by re-copying exactly
-//! the touched subtrees (`Store::patch_subtree`) — or can the update change
+//! the touched subtrees and relinking its entries once
+//! (`Store::set_children`) — or can the update change
 //! which nodes the view returns at all, forcing a re-evaluation?
 //!
 //! The classification reuses the paper's chain machinery. Writing `r` for

@@ -13,7 +13,7 @@
 //!   bound for each missing pair;
 //! * explicit chain sets per `(expression, k)` (including remembered budget
 //!   overflows, so a hopeless expression is never re-materialized);
-//! * a checkout pool of [`CdagEngine`](crate::engine::cdag::CdagEngine)s
+//! * a checkout pool of [`CdagEngine`]s
 //!   per multiplicity bound, whose
 //!   generation-stamped scratch workspaces are reused across ad-hoc
 //!   [`check`](AnalysisSession::check) calls and across the parallel

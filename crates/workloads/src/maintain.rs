@@ -15,9 +15,9 @@
 //!   with [`DeltaClassifier`]: views whose conflicts all run strictly
 //!   *downward* from a return chain keep their result membership, so they
 //!   are repaired in place by re-copying exactly the result subtrees that
-//!   contain an update site ([`Store::patch_subtree`] against the
-//!   copy-on-write tail) instead of re-running the query over the whole
-//!   document. Anything inconclusive falls back to re-evaluation —
+//!   contain an update site and relinking the view's entries once per batch
+//!   ([`Store::set_children`]) instead of re-running the query over the
+//!   whole document. Anything inconclusive falls back to re-evaluation —
 //!   correctness first.
 //!
 //! One analysis pass runs per batch (the classifier caches per
@@ -307,14 +307,16 @@ impl<'s, S: SchemaLike> MaintenanceEngine<'s, S> {
                 Decision::Patch(entries) => {
                     stats.patched_views += 1;
                     stats.patched_entries += entries.len();
+                    // Re-copy the touched entries, then relink the view
+                    // root's children once for the whole batch.
                     let view = &mut self.views[vi];
                     for &ei in entries {
-                        let fresh = view.store.patch_subtree(
-                            view.entry_roots[ei],
-                            &self.doc.store,
-                            view.source_entries[ei],
-                        );
-                        view.entry_roots[ei] = fresh;
+                        view.entry_roots[ei] = view
+                            .store
+                            .deep_copy_from(&self.doc.store, view.source_entries[ei]);
+                    }
+                    if !entries.is_empty() {
+                        view.store.set_children(view.root, &view.entry_roots);
                     }
                 }
             }

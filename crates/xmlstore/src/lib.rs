@@ -55,7 +55,7 @@ pub use serializer::{
     serialize_tree_with_attributes,
 };
 pub use sink::{CollectSink, CountSink, ResultSink, SerializeSink};
-pub use store::{ChildIds, NodeRef, Store, StoreBytes};
+pub use store::{ChildIds, DocOrder, NodeRef, Preorder, Store, StoreBytes};
 pub use streaming::{
     parse_xml_reader, parse_xml_stream, parse_xml_stream_sink, project_paths, project_spec,
     AutomatonCursor, PathAutomaton, PathSpec, Projection, StreamConfig, StreamOutcome, StreamStats,

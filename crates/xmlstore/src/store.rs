@@ -703,42 +703,28 @@ impl Store {
 
     /// All descendants of `id` in document (pre) order, excluding `id`.
     pub fn descendants(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = self.descendants_or_self(id);
-        out.remove(0);
-        out
+        self.preorder(id).skip(1).collect()
     }
 
     /// `id` followed by all its descendants in document (pre) order.
-    ///
-    /// A sibling-chain walk: O(subtree) time, O(1) scratch space.
     pub fn descendants_or_self(&self, root: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut cur = root;
-        loop {
-            out.push(cur);
-            if let Some(c) = self.first_child(cur) {
-                cur = c;
-                continue;
-            }
-            // Climb until a next sibling exists, stopping at the subtree
-            // root (whose own siblings are outside the subtree).
-            let mut n = cur;
-            loop {
-                if n == root {
-                    return out;
-                }
-                if let Some(s) = self.next_sibling(n) {
-                    cur = s;
-                    break;
-                }
-                n = self.parent(n).expect("chain stays inside the subtree");
-            }
+        self.preorder(root).collect()
+    }
+
+    /// Iterates over `root` and its descendants in document (pre) order
+    /// without allocating: a sibling-chain walk, O(subtree) time, O(1)
+    /// space.
+    pub fn preorder(&self, root: NodeId) -> Preorder<'_> {
+        Preorder {
+            store: self,
+            root,
+            next: Some(root),
         }
     }
 
     /// Number of nodes in the subtree rooted at `id` (including `id`).
     pub fn subtree_size(&self, id: NodeId) -> usize {
-        self.descendants_or_self(id).len()
+        self.preorder(id).count()
     }
 
     /// The following siblings of `id`, in document order.
@@ -921,26 +907,24 @@ impl Store {
         }
     }
 
-    /// Splices a fresh deep copy of `src_root`'s subtree (read from `src`,
-    /// which may be a different store — typically the live document a
-    /// materialized view was built from) in place of `target`: the copy is
-    /// allocated on this store's copy-on-write tail, takes `target`'s
-    /// position among its siblings, and `target`'s old subtree is detached.
-    /// Returns the location of the new subtree root.
+    /// Makes `kids` exactly `parent`'s child list, in order, with one
+    /// relink: each kid's parent link points at `parent`, and every old
+    /// child that `kids` drops is detached like [`detach`](Self::detach)
+    /// does.
     ///
-    /// This is the splice primitive of the delta view-maintenance path:
-    /// after an update that only touches the *interior* of some result
-    /// subtrees, a materialized view is repaired by re-copying exactly those
-    /// subtrees instead of re-evaluating the view.
-    ///
-    /// # Panics
-    /// Panics if `target` has no parent (a view's synthetic root cannot be
-    /// patched in place — rebuild the view instead).
-    pub fn patch_subtree(&mut self, target: NodeId, src: &Store, src_root: NodeId) -> NodeId {
-        let fresh = self.deep_copy_from(src, src_root);
-        let spliced = self.replace(target, &[fresh]);
-        assert!(spliced, "patch_subtree target must be attached");
-        fresh
+    /// This is the splice primitive of delta view maintenance: a view
+    /// re-copies the result entries an update touched, then relinks its
+    /// root's children once, instead of splicing entry by entry (each
+    /// splice walks and relinks the whole child list).
+    pub fn set_children(&mut self, parent: NodeId, kids: &[NodeId]) {
+        for old in self.children(parent) {
+            self.set_parent_raw(old.index(), NIL);
+            self.set_next_sibling_raw(old.index(), NIL);
+        }
+        for &k in kids {
+            self.set_parent_raw(k.index(), parent.0);
+        }
+        self.relink_children(parent, kids);
     }
 
     // ----- freeze / snapshot -----
@@ -1040,25 +1024,99 @@ impl Store {
             self.clone()
         }
     }
+}
 
-    // ----- document order -----
+/// A non-allocating preorder iterator over a subtree (see
+/// [`Store::preorder`]).
+pub struct Preorder<'s> {
+    store: &'s Store,
+    root: NodeId,
+    next: Option<NodeId>,
+}
 
-    /// Computes a map from location to document-order rank for the tree
-    /// rooted at `root`. Locations not reachable from `root` are absent.
-    pub fn doc_order(&self, root: NodeId) -> std::collections::HashMap<NodeId, usize> {
-        let mut map = std::collections::HashMap::new();
-        for (i, n) in self.descendants_or_self(root).into_iter().enumerate() {
-            map.insert(n, i);
-        }
-        map
+impl Iterator for Preorder<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        let cur = self.next?;
+        self.next = self.store.first_child(cur).or_else(|| {
+            // Climb until a next sibling exists, stopping at the subtree
+            // root (whose own siblings are outside the subtree).
+            let mut n = cur;
+            while n != self.root {
+                if let Some(s) = self.store.next_sibling(n) {
+                    return Some(s);
+                }
+                n = self
+                    .store
+                    .parent(n)
+                    .expect("chain stays inside the subtree");
+            }
+            None
+        });
+        Some(cur)
+    }
+}
+
+/// Key of a location not ranked yet.
+const UNRANKED: u64 = u64::MAX;
+
+/// Document order over one store: the sort behind every multi-node XPath
+/// step.
+///
+/// Each location's key is `(root of its tree, preorder rank in that tree)`,
+/// packed into one `u64` in a table indexed by location (8 bytes per
+/// node). Nodes of different trees — the document and freshly constructed
+/// elements — are ordered by their roots' locations, that is by
+/// allocation. A tree is numbered in one preorder walk (the numbering
+/// behind the staircase join, Grust et al., VLDB 2003) the first time one
+/// of its nodes is sorted, and then answers every later sort from the
+/// table.
+///
+/// The table is only valid while no ranked tree is reshaped, so keep one
+/// `DocOrder` per evaluation of a query or an update's pending list: those
+/// only allocate fresh trees (element construction and insert/replace
+/// sources are copies) and never relink an existing one.
+#[derive(Debug, Default)]
+pub struct DocOrder {
+    keys: Vec<u64>,
+}
+
+impl DocOrder {
+    /// An empty table; nothing is ranked until the first sort.
+    pub fn new() -> Self {
+        DocOrder::default()
     }
 
-    /// Sorts `nodes` into document order (relative to `root`) and removes
-    /// duplicates, as required by XPath step semantics.
-    pub fn sort_doc_order_dedup(&self, root: NodeId, nodes: &mut Vec<NodeId>) {
-        let order = self.doc_order(root);
-        nodes.sort_by_key(|n| order.get(n).copied().unwrap_or(usize::MAX));
+    /// Sorts `nodes` into document order and removes duplicates, as XPath
+    /// step semantics requires.
+    pub fn sort_dedup(&mut self, store: &Store, nodes: &mut Vec<NodeId>) {
+        if nodes.len() <= 1 {
+            return;
+        }
+        if self.keys.len() < store.len() {
+            self.keys.resize(store.len(), UNRANKED);
+        }
+        for &n in nodes.iter() {
+            if self.keys[n.index()] == UNRANKED {
+                self.rank_tree_of(store, n);
+            }
+        }
+        let keys = &self.keys;
+        nodes.sort_unstable_by_key(|n| keys[n.index()]);
         nodes.dedup();
+    }
+
+    /// Ranks every node of the tree containing `n`.
+    fn rank_tree_of(&mut self, store: &Store, n: NodeId) {
+        let mut root = n;
+        while let Some(p) = store.parent(root) {
+            root = p;
+        }
+        let tree = u64::from(root.0) << 32;
+        for (rank, d) in store.preorder(root).enumerate() {
+            self.keys[d.index()] = tree | rank as u64;
+        }
     }
 }
 
@@ -1413,10 +1471,33 @@ mod tests {
 
     #[test]
     fn doc_order_sorting() {
-        let (s, doc, a, b, c) = sample();
-        let mut v = vec![b, c, a, b];
-        s.sort_doc_order_dedup(doc, &mut v);
-        assert_eq!(v, vec![a, c, b]);
+        let (mut s, doc, a, b, c) = sample();
+        let mut order = DocOrder::new();
+        let mut v = vec![b, c, a, b, doc];
+        order.sort_dedup(&s, &mut v);
+        assert_eq!(v, vec![doc, a, c, b]);
+        // A tree allocated after the first sort is ranked on demand, after
+        // the older tree and in its own preorder.
+        let y = s.new_element("y", vec![]);
+        let x = s.new_element("x", vec![y]);
+        let mut v = vec![y, c, x, doc];
+        order.sort_dedup(&s, &mut v);
+        assert_eq!(v, vec![doc, c, x, y]);
+    }
+
+    #[test]
+    fn set_children_relinks_once_and_detaches_dropped_children() {
+        let (mut s, doc, a, b, c) = sample();
+        let x = s.new_element("x", vec![]);
+        s.set_children(doc, &[b, x]);
+        assert_eq!(s.children(doc), vec![b, x]);
+        assert_eq!(s.parent(x), Some(doc));
+        assert_eq!(s.parent(a), None, "dropped child is detached");
+        assert!(s.next_sibling(a).is_none());
+        assert_eq!(s.children(a), vec![c], "its subtree stays intact");
+        s.set_children(doc, &[]);
+        assert!(s.children(doc).is_empty());
+        assert_eq!(s.parent(b), None);
     }
 
     #[test]

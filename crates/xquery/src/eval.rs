@@ -7,9 +7,17 @@
 //!   update pending list `w` of primitive commands, (ii) sanity checks (a
 //!   target expression must return a single node), (iii) apply `w` to the
 //!   store, `σ_w ⊢ w ⇝ σ_u`.
+//!
+//! A step from one context node yields distinct nodes in document order on
+//! every axis (reverse axes are reversed as they are collected), so only a
+//! step over a multi-node context sorts. That sort goes through one
+//! [`DocOrder`] per [`evaluate_query`] / [`evaluate_update`] call, which
+//! ranks each tree at most once per call: evaluation and pending-list
+//! construction only allocate fresh trees and never reshape an existing
+//! one ([`apply_pending_list`] runs afterwards, outside the table's life).
 
 use crate::ast::{Axis, NodeTest, Query, Update, UpdatePos};
-use qui_xmlstore::{NodeId, Store, Tree};
+use qui_xmlstore::{DocOrder, NodeId, Store, Sym, Tree};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -116,8 +124,7 @@ pub fn evaluate_query(store: &mut Store, root: NodeId, q: &Query) -> Result<Eval
     for v in q.free_vars() {
         env.insert(v, vec![root]);
     }
-    let mut ev = Evaluator { store };
-    ev.eval(q, &env)
+    Evaluator::new(store).eval(q, &env)
 }
 
 /// Evaluates `q` with an explicit environment.
@@ -126,8 +133,7 @@ pub fn evaluate_query_with_env(
     env: &Env,
     q: &Query,
 ) -> Result<Evaluation, EvalError> {
-    let mut ev = Evaluator { store };
-    ev.eval(q, env)
+    Evaluator::new(store).eval(q, env)
 }
 
 /// Evaluates `q` like [`evaluate_query`] but streams the result locations
@@ -161,9 +167,8 @@ pub fn evaluate_update(
     for v in u.free_vars() {
         env.insert(v, vec![root]);
     }
-    let mut ev = Evaluator { store };
     let mut upl = Vec::new();
-    ev.eval_update(u, &env, &mut upl)?;
+    Evaluator::new(store).eval_update(u, &env, &mut upl)?;
     Ok(upl)
 }
 
@@ -270,9 +275,27 @@ pub fn run_update(tree: &mut Tree, u: &Update) -> Result<Vec<UpdateCommand>, Eva
 
 struct Evaluator<'a> {
     store: &'a mut Store,
+    order: DocOrder,
+}
+
+/// A [`NodeTest`] with its tag resolved against the store's symbol table
+/// once per step.
+#[derive(Clone, Copy)]
+enum Test {
+    AnyNode,
+    Text,
+    AnyElement,
+    Sym(Sym),
 }
 
 impl<'a> Evaluator<'a> {
+    fn new(store: &'a mut Store) -> Self {
+        Evaluator {
+            store,
+            order: DocOrder::new(),
+        }
+    }
+
     fn eval(&mut self, q: &Query, env: &Env) -> Result<Vec<NodeId>, EvalError> {
         match q {
             Query::Empty => Ok(Vec::new()),
@@ -292,26 +315,22 @@ impl<'a> Evaluator<'a> {
                 let ctx = env
                     .get(var)
                     .ok_or_else(|| EvalError::UnboundVariable(var.clone()))?;
+                let test = match test {
+                    NodeTest::AnyNode => Test::AnyNode,
+                    NodeTest::Text => Test::Text,
+                    NodeTest::AnyElement => Test::AnyElement,
+                    // A tag the store never interned names no node.
+                    NodeTest::Tag(t) => match self.store.symbols().lookup(t) {
+                        Some(sym) => Test::Sym(sym),
+                        None => return Ok(Vec::new()),
+                    },
+                };
                 let mut out = Vec::new();
                 for &l in ctx {
-                    for n in self.axis_nodes(l, *axis) {
-                        if self.test_matches(n, test) {
-                            out.push(n);
-                        }
-                    }
+                    self.push_axis(l, *axis, test, &mut out);
                 }
-                // Fast path: a downward axis from a single context node
-                // already yields distinct nodes in document order, so the
-                // (expensive) global sort can be skipped. This matters
-                // because desugared paths evaluate steps one context node at
-                // a time.
-                let already_ordered = ctx.len() <= 1
-                    && matches!(
-                        axis,
-                        Axis::SelfAxis | Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
-                    );
-                if !already_ordered {
-                    self.doc_order_dedup(&mut out);
+                if ctx.len() > 1 {
+                    self.order.sort_dedup(self.store, &mut out);
                 }
                 Ok(out)
             }
@@ -342,67 +361,45 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn axis_nodes(&self, l: NodeId, axis: Axis) -> Vec<NodeId> {
+    /// Appends the nodes on `axis` from `l` that pass `test`, in document
+    /// order.
+    fn push_axis(&self, l: NodeId, axis: Axis, test: Test, out: &mut Vec<NodeId>) {
         let s = &*self.store;
+        let start = out.len();
+        let mut push = |n: NodeId| {
+            let pass = match test {
+                Test::AnyNode => true,
+                Test::Text => s.is_text(n),
+                Test::AnyElement => s.is_element(n),
+                Test::Sym(sym) => s.sym(n) == Some(sym),
+            };
+            if pass {
+                out.push(n);
+            }
+        };
         match axis {
-            Axis::SelfAxis => vec![l],
-            Axis::Child => s.children(l).to_vec(),
-            Axis::Descendant => s.descendants(l),
-            Axis::DescendantOrSelf => s.descendants_or_self(l),
-            Axis::Parent => s.parent(l).into_iter().collect(),
-            Axis::Ancestor => s.ancestors(l),
-            Axis::AncestorOrSelf => {
-                let mut v = vec![l];
-                v.extend(s.ancestors(l));
-                v
+            Axis::SelfAxis => push(l),
+            Axis::Child => s.children_iter(l).for_each(push),
+            Axis::Descendant => s.preorder(l).skip(1).for_each(push),
+            Axis::DescendantOrSelf => s.preorder(l).for_each(push),
+            Axis::Parent => s.parent(l).into_iter().for_each(push),
+            Axis::Ancestor | Axis::AncestorOrSelf => {
+                if axis == Axis::AncestorOrSelf {
+                    push(l);
+                }
+                std::iter::successors(s.parent(l), |&p| s.parent(p)).for_each(&mut push);
+                // Collected nearest first: reverse into document order.
+                out[start..].reverse();
             }
-            Axis::PrecedingSibling => s.preceding_siblings(l),
-            Axis::FollowingSibling => s.following_siblings(l),
-        }
-    }
-
-    fn test_matches(&self, l: NodeId, test: &NodeTest) -> bool {
-        match test {
-            NodeTest::AnyNode => true,
-            NodeTest::Text => self.store.is_text(l),
-            NodeTest::AnyElement => self.store.is_element(l),
-            NodeTest::Tag(t) => self.store.tag(l) == Some(t.as_str()),
-        }
-    }
-
-    /// Sorts into document order and removes duplicates. Nodes are ordered by
-    /// (their tree's root, preorder rank within that tree); nodes from
-    /// different trees (e.g. freshly constructed elements) are ordered by
-    /// allocation.
-    fn doc_order_dedup(&self, nodes: &mut Vec<NodeId>) {
-        if nodes.len() <= 1 {
-            return;
-        }
-        let mut root_of: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut order: HashMap<NodeId, (NodeId, usize)> = HashMap::new();
-        for &n in nodes.iter() {
-            if order.contains_key(&n) {
-                continue;
-            }
-            // find the root of n's tree
-            let mut r = n;
-            while let Some(p) = self.store.parent(r) {
-                r = p;
-            }
-            if let std::collections::hash_map::Entry::Vacant(e) = root_of.entry(r) {
-                e.insert(r);
-                for (i, d) in self.store.descendants_or_self(r).into_iter().enumerate() {
-                    order.insert(d, (r, i));
+            Axis::PrecedingSibling => {
+                if let Some(p) = s.parent(l) {
+                    s.children_iter(p).take_while(|&c| c != l).for_each(push);
                 }
             }
+            Axis::FollowingSibling => {
+                std::iter::successors(s.next_sibling(l), |&n| s.next_sibling(n)).for_each(push)
+            }
         }
-        nodes.sort_by_key(|n| {
-            order
-                .get(n)
-                .map(|&(r, i)| (r, i))
-                .unwrap_or((*n, usize::MAX))
-        });
-        nodes.dedup();
     }
 
     fn eval_update(
