@@ -15,17 +15,17 @@
 //! * **pruned** — only the views not statically independent of the batch
 //!   re-evaluate (the Fig. 3.c discipline, applied live);
 //! * **delta** — dependent views whose conflicts are all strictly below
-//!   their return chains are patched in place: the touched entries are
-//!   re-copied and the view's entries relinked once per batch
-//!   (`Store::set_children`); the rest re-evaluate.
+//!   their return chains are patched: the view keeps its result ids and is
+//!   re-pointed at the newly frozen document, where the entries hold their
+//!   updated content; the rest re-evaluate.
 //!
 //! The headline gates compare the *maintenance phase* (the work the
 //! strategies differ on; update application and analysis cost are common):
 //! `QUI_MAINTAIN_MIN_DELTA_SPEEDUP` (delta vs pruned wall, default 0.55 —
 //! a collapse floor, not a win claim; with one document-order ranking per
-//! evaluation and one child-list relink per patched view and batch, delta
-//! measures ~1.7x pruned at S and ~1.8–2.3x at M on 2 vCPUs, while the
-//! deterministic `reeval_ratio` gate pins the precision win),
+//! evaluation and zero-copy views, delta measures ~1.3–1.5x pruned at S
+//! and ~1.4–1.9x at M on 2 vCPUs, while the deterministic `reeval_ratio`
+//! gate pins the precision win),
 //! `QUI_MAINTAIN_MIN_PRUNED_SPEEDUP` (pruned vs naive wall, default 1.15),
 //! `QUI_MAINTAIN_MAX_REEVAL_RATIO` (delta re-evaluations / pruned
 //! re-evaluations, deterministic, default 0.9), and
@@ -134,9 +134,9 @@ pub struct StrategyRow {
     pub batches: usize,
     /// View refreshes skipped as independent.
     pub skipped: usize,
-    /// Views repaired in place.
+    /// Views patched (re-pointed at the updated document).
     pub patched_views: usize,
-    /// Result subtrees re-copied in place.
+    /// Result entries of patched views that contain an update site.
     pub patched_entries: usize,
     /// Views re-evaluated from scratch.
     pub reevaluated: usize,

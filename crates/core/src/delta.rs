@@ -4,10 +4,10 @@
 //! The independence analysis answers whether a materialized view can ignore
 //! an update. This module answers the follow-up question for the pairs that
 //! cannot: is the conflict confined to the *interior* of the view's result
-//! subtrees — in which case the view can be repaired by re-copying exactly
-//! the touched subtrees and relinking its entries once
-//! (`Store::set_children`) — or can the update change
-//! which nodes the view returns at all, forcing a re-evaluation?
+//! subtrees — in which case the view keeps its result nodes and is repaired
+//! by re-pointing it at the updated document, where those nodes hold the
+//! new content — or can the update change which nodes the view returns at
+//! all, forcing a re-evaluation?
 //!
 //! The classification reuses the paper's chain machinery. Writing `r` for
 //! the view's return chains, `v` for its used chains and `U` for the
@@ -68,7 +68,7 @@ pub enum DeltaClass {
     Independent,
     /// Every conflict runs from a return chain strictly *down* into the
     /// update: result membership is stable, and the view is repaired by
-    /// re-copying the result subtrees that contain an update site.
+    /// re-pointing its result ids at the updated document.
     Patchable,
     /// The update can change which nodes the view returns (it conflicts
     /// upward into a return chain or into a used chain), or the

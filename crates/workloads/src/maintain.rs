@@ -14,11 +14,20 @@
 //! * [`MaintainStrategy::Delta`] — additionally split the dependent pairs
 //!   with [`DeltaClassifier`]: views whose conflicts all run strictly
 //!   *downward* from a return chain keep their result membership, so they
-//!   are repaired in place by re-copying exactly the result subtrees that
-//!   contain an update site and relinking the view's entries once per batch
-//!   ([`Store::set_children`]) instead of re-running the query over the
-//!   whole document. Anything inconclusive falls back to re-evaluation —
+//!   are repaired by re-pointing the view at the newly frozen document —
+//!   the entries keep their node ids, and their subtrees now read the
+//!   updated content — instead of re-running the query over the whole
+//!   document. Anything inconclusive falls back to re-evaluation —
 //!   correctness first.
+//!
+//! A view copies nothing: it holds a [`Store`] snapshot and its result ids.
+//! For results inside the document that snapshot is an O(1) share of the
+//! frozen document version the view was evaluated (or re-pointed) on;
+//! re-freezing the live document after a batch leaves outstanding
+//! snapshots on their old version (see [`Store::freeze`]), so a skipped
+//! view keeps reading exactly the nodes it was evaluated on. At most one
+//! document version per distinct refresh batch among the live views is
+//! kept alive, plus the current one — never more than views + 1.
 //!
 //! One analysis pass runs per batch (the classifier caches per
 //! (view, update) expression, so a recurring workload pays it once);
@@ -37,7 +46,7 @@ use qui_core::delta::{DeltaClass, DeltaClassifier};
 use qui_core::parallel::run_indexed;
 use qui_core::Jobs;
 use qui_schema::SchemaLike;
-use qui_xmlstore::{serialize_node, NodeId, Store, Tree};
+use qui_xmlstore::{serialize_node_into, NodeId, Store, Tree};
 use qui_xquery::{
     apply_pending_list, evaluate_query, evaluate_update, update_sites, EvalError, Query, Update,
     UpdateSite,
@@ -50,25 +59,26 @@ pub enum MaintainStrategy {
     Naive,
     /// Re-evaluate only views not statically independent of the batch.
     Pruned,
-    /// Patch result subtrees in place where the conflict classification
-    /// allows it; re-evaluate the rest.
+    /// Patch views (re-point them at the updated document) where the
+    /// conflict classification allows it; re-evaluate the rest.
     Delta,
 }
 
-/// A live materialized view: the query, its own result store (one synthetic
-/// `<view>` element whose children are deep copies of the result sequence),
-/// and — when the result consists of document nodes rather than constructed
-/// ones — the source [`NodeId`]s the entries were copied from, which is what
-/// the delta path patches against.
+/// A live materialized view: the query, a [`Store`] snapshot holding its
+/// result nodes, and the result sequence as ids into that snapshot.
+///
+/// When every result is a document node (`tracks_sources`), the snapshot
+/// is the frozen document version the view was last evaluated or patched
+/// on, and the ids are the document's own — what the delta path patches
+/// against. Otherwise the snapshot is the evaluation's working store,
+/// which also holds the nodes the query constructed.
 pub struct MaintainedView {
     /// The view's name (workload label).
     pub name: String,
     /// The view query.
     pub query: Query,
     store: Store,
-    root: NodeId,
-    entry_roots: Vec<NodeId>,
-    source_entries: Vec<NodeId>,
+    entries: Vec<NodeId>,
     tracks_sources: bool,
 }
 
@@ -79,37 +89,42 @@ impl MaintainedView {
         let frozen_len = doc.store.len();
         let mut work = doc.snapshot();
         let root = work.root;
-        let results = evaluate_query(&mut work.store, root, query)?;
+        let entries = evaluate_query(&mut work.store, root, query)?;
         // A result id past the frozen prefix is a node the query constructed
         // during evaluation; it has no stable identity in the live document,
         // so the delta path cannot track it and the view always re-evaluates.
-        let tracks_sources = results.iter().all(|n| n.index() < frozen_len);
-        let mut store = Store::new();
-        let entry_roots: Vec<NodeId> = results
-            .iter()
-            .map(|&n| store.deep_copy_from(&work.store, n))
-            .collect();
-        let view_root = store.new_element("view", entry_roots.clone());
+        let tracks_sources = entries.iter().all(|n| n.index() < frozen_len);
         Ok(MaintainedView {
             name: name.to_string(),
             query: query.clone(),
-            store,
-            root: view_root,
-            entry_roots,
-            source_entries: if tracks_sources { results } else { Vec::new() },
+            store: if tracks_sources {
+                doc.store.snapshot()
+            } else {
+                work.store
+            },
+            entries,
             tracks_sources,
         })
     }
 
-    /// The materialized content, serialized (the `<view>` wrapper included).
-    /// This is the value the differential tests compare across strategies.
+    /// The materialized content, serialized: the result sequence inside one
+    /// `<view>` element. This is the value the differential tests compare
+    /// across strategies.
     pub fn serialized(&self) -> String {
-        serialize_node(&self.store, self.root)
+        if self.entries.is_empty() {
+            return "<view/>".to_string();
+        }
+        let mut out = String::from("<view>");
+        for &n in &self.entries {
+            serialize_node_into(&self.store, n, &mut out);
+        }
+        out.push_str("</view>");
+        out
     }
 
     /// Number of result entries currently materialized.
     pub fn entry_count(&self) -> usize {
-        self.entry_roots.len()
+        self.entries.len()
     }
 }
 
@@ -123,9 +138,10 @@ pub struct BatchStats {
     pub updates: usize,
     /// Views left untouched (independent of the whole batch).
     pub skipped: usize,
-    /// Views repaired in place by subtree patching.
+    /// Views patched: re-pointed at the updated document, not re-evaluated.
     pub patched_views: usize,
-    /// Total result subtrees re-copied across all patched views.
+    /// Total result entries containing an update site across all patched
+    /// views (the entries whose content the patch changed).
     pub patched_entries: usize,
     /// Views re-evaluated from scratch.
     pub reevaluated: usize,
@@ -164,7 +180,8 @@ impl BatchStats {
 /// What the per-view decision pass concluded for one batch.
 enum Decision {
     Skip,
-    Patch(Vec<usize>),
+    /// Patch; the number of result entries containing an update site.
+    Patch(usize),
     Reeval,
 }
 
@@ -304,20 +321,13 @@ impl<'s, S: SchemaLike> MaintenanceEngine<'s, S> {
             match decision {
                 Decision::Skip => stats.skipped += 1,
                 Decision::Reeval => stats.reevaluated += 1,
-                Decision::Patch(entries) => {
+                Decision::Patch(touched) => {
                     stats.patched_views += 1;
-                    stats.patched_entries += entries.len();
-                    // Re-copy the touched entries, then relink the view
-                    // root's children once for the whole batch.
-                    let view = &mut self.views[vi];
-                    for &ei in entries {
-                        view.entry_roots[ei] = view
-                            .store
-                            .deep_copy_from(&self.doc.store, view.source_entries[ei]);
-                    }
-                    if !entries.is_empty() {
-                        view.store.set_children(view.root, &view.entry_roots);
-                    }
+                    stats.patched_entries += touched;
+                    // Membership is stable and locations are never reused,
+                    // so the entries' ids name the same nodes in the newly
+                    // frozen document, which holds their updated content.
+                    self.views[vi].store = self.doc.store.snapshot();
                 }
             }
         }
@@ -358,7 +368,7 @@ impl<'s, S: SchemaLike> MaintenanceEngine<'s, S> {
                 && !inconclusive_site;
             eligible.push(ok);
             if ok {
-                for (ei, &src) in view.source_entries.iter().enumerate() {
+                for (ei, &src) in view.entries.iter().enumerate() {
                     entry_of.entry(src).or_default().push((vi, ei));
                 }
             }
@@ -410,7 +420,7 @@ impl<'s, S: SchemaLike> MaintenanceEngine<'s, S> {
                         let mut entries = std::mem::take(&mut affected[vi]);
                         entries.sort_unstable();
                         entries.dedup();
-                        Decision::Patch(entries)
+                        Decision::Patch(entries.len())
                     } else {
                         Decision::Reeval
                     }

@@ -907,33 +907,15 @@ impl Store {
         }
     }
 
-    /// Makes `kids` exactly `parent`'s child list, in order, with one
-    /// relink: each kid's parent link points at `parent`, and every old
-    /// child that `kids` drops is detached like [`detach`](Self::detach)
-    /// does.
-    ///
-    /// This is the splice primitive of delta view maintenance: a view
-    /// re-copies the result entries an update touched, then relinks its
-    /// root's children once, instead of splicing entry by entry (each
-    /// splice walks and relinks the whole child list).
-    pub fn set_children(&mut self, parent: NodeId, kids: &[NodeId]) {
-        for old in self.children(parent) {
-            self.set_parent_raw(old.index(), NIL);
-            self.set_next_sibling_raw(old.index(), NIL);
-        }
-        for &k in kids {
-            self.set_parent_raw(k.index(), parent.0);
-        }
-        self.relink_children(parent, kids);
-    }
-
     // ----- freeze / snapshot -----
 
     /// Flattens this store into an immutable shared base, after which
     /// [`snapshot`](Self::snapshot) is O(1). A no-op when the store is
-    /// already a clean frozen base. If the base's text blob had been spilled
-    /// to the cold tier it is read back (re-freezing implies new hot data to
-    /// merge).
+    /// already a clean frozen base. If the old base is still shared with
+    /// outstanding snapshots, its columns are copied rather than taken, and
+    /// those snapshots keep reading the old version unchanged. If the base's
+    /// text blob had been spilled to the cold tier it is read back
+    /// (re-freezing implies new hot data to merge).
     pub fn freeze(&mut self) {
         if self.base.is_some() && self.overlay.is_empty() && self.tail.len() == 0 {
             return;
@@ -1486,18 +1468,45 @@ mod tests {
     }
 
     #[test]
-    fn set_children_relinks_once_and_detaches_dropped_children() {
+    fn refreeze_with_an_outstanding_snapshot_leaves_it_unchanged() {
         let (mut s, doc, a, b, c) = sample();
-        let x = s.new_element("x", vec![]);
-        s.set_children(doc, &[b, x]);
-        assert_eq!(s.children(doc), vec![b, x]);
-        assert_eq!(s.parent(x), Some(doc));
-        assert_eq!(s.parent(a), None, "dropped child is detached");
-        assert!(s.next_sibling(a).is_none());
-        assert_eq!(s.children(a), vec![c], "its subtree stays intact");
-        s.set_children(doc, &[]);
-        assert!(s.children(doc).is_empty());
-        assert_eq!(s.parent(b), None);
+        s.freeze();
+        let old = s.snapshot();
+        // The owner edits and re-freezes while `old` still shares the base,
+        // so the freeze must copy the columns rather than take them.
+        s.detach(a);
+        s.rename(b, "z");
+        let t = s.new_text("more");
+        s.append_children(b, &[t]);
+        s.freeze();
+
+        let texts = |st: &Store| -> Vec<String> {
+            st.children_iter(b)
+                .filter_map(|k| st.text_value(k).map(str::to_string))
+                .collect()
+        };
+        assert_eq!(old.len(), 5);
+        assert_eq!(old.children(doc), vec![a, b]);
+        assert_eq!(old.parent(a), Some(doc));
+        assert_eq!(old.next_sibling(a), Some(b));
+        assert_eq!(old.children(a), vec![c]);
+        assert_eq!(old.tag(b), Some("b"));
+        assert_eq!(texts(&old), vec!["text"]);
+        assert_eq!(
+            crate::serialize_node(&old, doc),
+            "<doc><a><c/></a><b>text</b></doc>"
+        );
+
+        let new = s.snapshot();
+        assert_eq!(new.len(), 6);
+        assert_eq!(new.children(doc), vec![b]);
+        assert_eq!(new.parent(a), None);
+        assert_eq!(new.tag(b), Some("z"));
+        assert_eq!(texts(&new), vec!["text", "more"]);
+        assert_eq!(
+            crate::serialize_node(&new, doc),
+            "<doc><z>textmore</z></doc>"
+        );
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //!   re-evaluation is invisible to the observable outcome.
 //! * **strategy monotonicity** — naive re-evaluates everything, pruning
 //!   re-evaluates no more than naive, delta no more than pruning.
+//! * **zero-copy views ≡ deep copies** — a view holds a document snapshot
+//!   and its result ids; after every batch, under every strategy, its
+//!   serialization equals the old materialization (every result deep-copied
+//!   under a fresh `<view>` element) on the current document, for empty,
+//!   duplicate, text, constructed, patched and long-skipped results, on
+//!   XMark and two corpus schemas.
 //!
 //! The nightly CI run multiplies the deterministic case count via
 //! `QUI_PROPTEST_CASES`.
@@ -27,8 +33,8 @@ use xml_qui::workloads::{
     all_updates, all_views, xmark_document, xmark_dtd, BatchStats, MaintainStrategy,
     MaintenanceEngine,
 };
-use xml_qui::xmlstore::{parse_xml, Tree};
-use xml_qui::xquery::{parse_query, parse_update, Update};
+use xml_qui::xmlstore::{parse_xml, serialize_node, NodeId, Store, Tree};
+use xml_qui::xquery::{evaluate_query, parse_query, parse_update, Query, Update};
 
 /// One schema + document + expression-pool scenario. Every update in the
 /// pool preserves schema validity (the static analysis reasons over
@@ -394,4 +400,242 @@ fn xmark_stream_is_bit_identical_across_strategies_and_jobs() {
         delta_totals.skipped > 0,
         "the XMark stream must exercise independence pruning"
     );
+}
+
+/// Evaluates `q` on a snapshot of `doc`: the snapshot (holding any
+/// constructed results) and the result sequence.
+fn evaluate(doc: &Tree, q: &Query) -> (Store, Vec<NodeId>) {
+    let mut work = doc.snapshot();
+    let root = work.root;
+    let results = evaluate_query(&mut work.store, root, q).unwrap();
+    (work.store, results)
+}
+
+/// The materialization views used before they became zero-copy, kept as the
+/// oracle for [`MaintenanceEngine::serialized_views`]: evaluate the view on
+/// the current document, deep-copy every result under a fresh `<view>`
+/// element, serialize.
+fn deep_copy_oracle(doc: &Tree, q: &Query) -> String {
+    let (work, results) = evaluate(doc, q);
+    let mut store = Store::new();
+    let entries = results
+        .iter()
+        .map(|&n| store.deep_copy_from(&work, n))
+        .collect();
+    let view = store.new_element("view", entries);
+    serialize_node(&store, view)
+}
+
+/// Views covering each shape a zero-copy view must serialize exactly like
+/// the deep-copied `<view>` wrapper did, by role.
+struct OracleViews {
+    /// A result that is empty on the initial document.
+    empty: &'static str,
+    /// The same nodes returned once per iteration of a `for`.
+    duplicates: &'static str,
+    /// Text nodes.
+    text: &'static str,
+    /// Constructed nodes (the view cannot track sources).
+    constructed: &'static str,
+    /// A view independent of every update in the stream: skipped by the
+    /// pruned and delta strategies across every batch while the document
+    /// is refrozen under it.
+    skipped: &'static str,
+    /// A view with statically patchable pairs in the stream.
+    patchable: &'static str,
+}
+
+impl OracleViews {
+    fn all(&self) -> [&'static str; 6] {
+        [
+            self.empty,
+            self.duplicates,
+            self.text,
+            self.constructed,
+            self.skipped,
+            self.patchable,
+        ]
+    }
+}
+
+/// Runs `updates` in `batch`-sized batches through every strategy and
+/// asserts, after registration and after every batch, that each view
+/// serializes exactly like the deep-copy oracle on the engine's current
+/// document.
+fn assert_views_match_deep_copy_oracle(
+    label: &str,
+    dtd: &Dtd,
+    doc: Tree,
+    views: &OracleViews,
+    updates: &[Update],
+    batch: usize,
+) {
+    let queries: Vec<Query> = views
+        .all()
+        .iter()
+        .map(|q| parse_query(q).unwrap())
+        .collect();
+    let batches = updates.chunks(batch).count();
+    // Each role must hold on the initial document, or the case pins nothing.
+    assert!(
+        evaluate(&doc, &queries[0]).1.is_empty(),
+        "{label}: empty view"
+    );
+    let (_, mut dup) = evaluate(&doc, &queries[1]);
+    let returned = dup.len();
+    dup.sort_unstable();
+    dup.dedup();
+    assert!(
+        dup.len() < returned,
+        "{label}: duplicates view repeats no node"
+    );
+    let (store, text) = evaluate(&doc, &queries[2]);
+    assert!(
+        !text.is_empty() && text.iter().all(|&n| store.is_text(n)),
+        "{label}: text view"
+    );
+    let (_, constructed) = evaluate(&doc, &queries[3]);
+    assert!(
+        constructed.iter().any(|n| n.index() >= doc.store.len()),
+        "{label}: constructed view"
+    );
+    assert!(
+        !evaluate(&doc, &queries[4]).1.is_empty(),
+        "{label}: skipped view"
+    );
+    for strategy in STRATEGIES {
+        let mut eng = MaintenanceEngine::new(dtd, doc.clone(), strategy, Jobs::Fixed(2));
+        for (i, q) in queries.iter().enumerate() {
+            eng.register_view(&format!("v{i}"), q).unwrap();
+        }
+        let check = |eng: &MaintenanceEngine<Dtd>, when: &str| {
+            let oracle: Vec<String> = queries
+                .iter()
+                .map(|q| deep_copy_oracle(eng.doc(), q))
+                .collect();
+            assert_eq!(
+                eng.serialized_views(),
+                oracle,
+                "{label}: {strategy:?} views differ from the deep-copy oracle {when}"
+            );
+        };
+        check(&eng, "after registration");
+        let initial_skipped = eng.views()[4].serialized();
+        let doc_before = serialize_node(&eng.doc().store, eng.doc().root);
+        for (bi, chunk) in updates.chunks(batch).enumerate() {
+            eng.apply_batch(chunk).unwrap();
+            check(&eng, &format!("after batch {bi}"));
+        }
+        assert_ne!(
+            serialize_node(&eng.doc().store, eng.doc().root),
+            doc_before,
+            "{label}: the stream must change the document"
+        );
+        assert_eq!(
+            eng.views()[4].serialized(),
+            initial_skipped,
+            "{label}: the independent view keeps its content"
+        );
+        let totals = eng.totals();
+        if strategy != MaintainStrategy::Naive {
+            assert!(
+                totals.skipped >= batches,
+                "{label}: {strategy:?} must skip the independent view in every batch"
+            );
+        }
+        if strategy == MaintainStrategy::Delta {
+            assert!(
+                totals.patched_views > 0,
+                "{label}: the stream must exercise the delta patch"
+            );
+        }
+    }
+}
+
+#[test]
+fn zero_copy_views_match_the_deep_copy_oracle_on_xmark() {
+    let view = |name: &str| all_views().into_iter().find(|v| v.name == name).unwrap();
+    let views = OracleViews {
+        empty: "/people/person/name[person]",
+        // q9: the same auctions and European items once per person; UB5
+        // patches the items' content.
+        duplicates: view("q9").source,
+        text: "for $p in /people/person return $p/name/text()",
+        constructed: "for $p in /people/person return <who>{$p/name}</who>",
+        skipped: "/people/person/emailaddress",
+        // q20: UA7 patches the persons' content.
+        patchable: view("q20").source,
+    };
+    assert_views_match_deep_copy_oracle(
+        "xmark",
+        &xmark_dtd(),
+        // 10 persons, 37 closed auctions.
+        xmark_document(3_000, 11),
+        &views,
+        &["UB5", "UA7", "UN1", "UP3"].map(|name| {
+            all_updates()
+                .into_iter()
+                .find(|u| u.name == name)
+                .unwrap()
+                .update
+        }),
+        1,
+    );
+}
+
+#[test]
+fn zero_copy_views_match_the_deep_copy_oracle_on_corpus_schemas() {
+    use xml_qui::schema::{generate_valid, Corpus, GenValidConfig};
+
+    // Per corpus schema: the views and a validity-preserving update stream
+    // that never touches the `skipped` view's subtrees.
+    let cases = [
+        (
+            "catalog",
+            OracleViews {
+                empty: "//vendor/rating[tag]",
+                duplicates: "for $p in //product return //product",
+                text: "//product/name/text()",
+                constructed: "for $p in //product return <entry>{$p/sku}</entry>",
+                skipped: "//vendor",
+                patchable: "//product",
+            },
+            &[
+                "delete //product/stock",
+                "for $p in //product return insert <tag>new</tag> into $p",
+                "delete //product/tag",
+                "for $p in //product return insert <tag>again</tag> into $p",
+                "delete //product/blurb",
+            ][..],
+        ),
+        (
+            "orgchart",
+            OracleViews {
+                empty: "//name[member]",
+                duplicates: "for $u in //unit return //team",
+                text: "//team/name/text()",
+                constructed: "for $t in //team return <t>{$t/name}</t>",
+                skipped: "//head",
+                // Child steps only: the recursive `unit` makes the chains of
+                // `//team` coarse, and the classifier never finds it
+                // patchable under this stream.
+                patchable: "/unit/team",
+            },
+            &[
+                "delete /unit/team/member",
+                "delete //team/member",
+                "for $t in //team return insert <member><name>n</name></member> into $t",
+                "for $t in //team return insert <member><name>m</name></member> into $t",
+                "delete /unit/team/member",
+            ][..],
+        ),
+    ];
+    let corpus = Corpus::fixtures();
+    for (name, views, updates) in cases {
+        let schema = corpus.iter().find(|s| s.name == name).unwrap();
+        let dtd = schema.dtd();
+        let doc = generate_valid(&dtd, &GenValidConfig::with_target(300), 0x0C0F);
+        let updates: Vec<Update> = updates.iter().map(|u| parse_update(u).unwrap()).collect();
+        assert_views_match_deep_copy_oracle(name, &dtd, doc, &views, &updates, 2);
+    }
 }
